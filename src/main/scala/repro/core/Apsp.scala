@@ -57,10 +57,18 @@ object Apsp {
     }
   }
 
-  /** Single-source Dijkstra over `g` with edge weights `d(u,v)`.
-    * Returns the distance array (Double.PositiveInfinity if unreachable).
+  /** Edge weights of `g` under `d`, aligned with `g.adj`:
+    * `w(u)(k) = d(u, g.adj(u)(k))`. 2m doubles, so Dijkstra (and a Spark
+    * broadcast) never reads the dense n x n `d`.
     */
-  def dijkstra(g: WGraph, d: SymMatrix, source: Int): Array[Double] = {
+  def edgeWeights(g: WGraph, d: SymMatrix): Array[Array[Double]] =
+    Array.tabulate(g.n)(u => g.adj(u).map(d(u, _)))
+
+  /** Single-source Dijkstra over `g` with edge weights `w` from
+    * `edgeWeights`. Returns the distance array (Double.PositiveInfinity if
+    * unreachable).
+    */
+  def dijkstra(g: WGraph, w: Array[Array[Double]], source: Int): Array[Double] = {
     val n    = g.n
     val dist = Array.fill(n)(Double.PositiveInfinity)
     val done = new Array[Boolean](n)
@@ -73,12 +81,13 @@ object Apsp {
       if (!done(u)) {
         done(u) = true
         val a  = g.adj(u)
+        val wu = w(u)
         val du = dist(u)
         var k = 0
         while (k < a.length) {
           val v = a(k)
           if (!done(v)) {
-            val nd = du + d(u, v)
+            val nd = du + wu(k)
             if (nd < dist(v)) { dist(v) = nd; heap.push(nd, v) }
           }
           k += 1
@@ -91,9 +100,10 @@ object Apsp {
   /** Full APSP matrix: Dijkstra from every source, parallel over sources. */
   def allPairs(g: WGraph, d: SymMatrix, par: Par): SymMatrix = {
     val n   = g.n
+    val w   = edgeWeights(g, d)
     val out = SymMatrix.zeros(n)
     par.parFor(n) { src =>
-      val row = dijkstra(g, d, src)
+      val row = dijkstra(g, w, src)
       System.arraycopy(row, 0, out.data, src * n, n)
     }
     out

@@ -81,16 +81,6 @@ final class BubbleTree(val n: Int) {
   */
 final class BubbleDirections(val tree: BubbleTree, val towardChild: Array[Boolean]) {
 
-  /** Out-degree of bubble b in the directed bubble tree. */
-  def outDegree(b: Int): Int = {
-    var d = 0
-    val cs = tree.children(b)
-    var i = 0
-    while (i < cs.length) { if (towardChild(cs(i))) d += 1; i += 1 }
-    if (b != tree.root && !towardChild(b)) d += 1
-    d
-  }
-
   /** Directed out-neighbors of bubble b. */
   def outNeighbors(b: Int): IndexedSeq[Int] = {
     val out = new ArrayBuffer[Int](4)
@@ -100,9 +90,6 @@ final class BubbleDirections(val tree: BubbleTree, val towardChild: Array[Boolea
     if (b != tree.root && !towardChild(b)) out += tree.parent(b)
     out.toIndexedSeq
   }
-
-  def convergingBubbles: Array[Int] =
-    (0 until tree.numBubbles).filter(outDegree(_) == 0).toArray
 }
 
 object BubbleDirections {

@@ -28,7 +28,11 @@ final class SymMatrix private (val n: Int, val data: Array[Double]) extends Seri
 }
 
 object SymMatrix {
-  def zeros(n: Int): SymMatrix = new SymMatrix(n, new Array[Double](n.toLong.toInt * n))
+  def zeros(n: Int): SymMatrix = {
+    require(n.toLong * n <= Int.MaxValue,
+      s"n=$n needs ${n.toLong * n} entries, over the JVM array limit ${Int.MaxValue} (n <= 46340)")
+    new SymMatrix(n, new Array[Double](n * n))
+  }
 
   /** Wrap an existing flat row-major array (must be length n*n and symmetric). */
   def wrap(n: Int, data: Array[Double]): SymMatrix = {

@@ -181,6 +181,12 @@ object Tmfg {
           newFaces += nf1; newFaces += nf2; newFaces += nf3
         }
       }
+      // finite S always inserts: every rescanned face has bestV >= 0 while
+      // vertices remain. A NaN or -Inf row never wins a face and would spin.
+      if (insertedNow.isEmpty)
+        throw new IllegalStateException(
+          s"TMFG round $rounds inserted no vertex: $vcount remaining, e.g. vertex ${vlist(0)}; " +
+            "its similarities give no finite gain (NaN or -Inf in S?)")
 
       // update the alive-face list: drop killed faces, append new ones
       var w = 0

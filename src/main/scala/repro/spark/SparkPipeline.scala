@@ -5,8 +5,11 @@ import repro.core._
 import repro.data.TimeSeriesGen.Dataset
 
 /** End-to-end distributed PAR-TDBHT pipeline: RowMatrix correlation ->
-  * RDD TMFG -> RDD APSP -> driver assignments (O(n) state) -> RDD
-  * fan-out of the per-group complete-linkage plans -> dendrogram.
+  * driver TMFG (the kernel `Tmfg.build`) -> RDD APSP -> driver
+  * assignments -> RDD fan-out of the per-group complete-linkage plans ->
+  * dendrogram. The O(n) TMFG, bubble and assignment state stays on the
+  * driver, like the shared-memory algorithm's shared arrays; RDD fan-out
+  * is kept for the O(n^2) work: correlation, APSP and group linkage.
   *
   * Produces the same dendrogram as the thread-pool kernel pipeline
   * (`repro.harness.Methods.parTdbht`); the kernel carries the runtime
@@ -48,16 +51,13 @@ object SparkPipeline {
   def run(spark: SparkSession, ds: Dataset, prefix: Int, k: Int): PipelineResult = {
     val s = SparkCorrelation.pearson(spark, ds.data)
     val d = Correlation.dissimilarity(s)
-    val res  = SparkTmfg.build(spark, s, prefix)
-    val apsp = SparkApsp.allPairs(spark, res.graph, d)
-    // O(n) assignment state stays on the driver, like the shared-memory
-    // algorithm's shared arrays; a Par over local cores drives it
-    val (asg, dendro) = Par.default { par =>
-      val bub = Dbht.bubblesFromTmfg(res, s, par)
-      val a = Dbht.assign(bub, res.graph, s, apsp, par)
-      (a, dendrogram(spark, s.n, a, apsp))
+    Par.default { par =>
+      val res    = Tmfg.build(s, prefix, par)
+      val apsp   = SparkApsp.allPairs(spark, res.graph, d)
+      val bub    = Dbht.bubblesFromTmfg(res, s, par)
+      val asg    = Dbht.assign(bub, res.graph, s, apsp, par)
+      val dendro = dendrogram(spark, s.n, asg, apsp)
+      PipelineResult(dendro.cut(k), dendro, res.graph, res.rounds)
     }
-    val _ = asg
-    PipelineResult(dendro.cut(k), dendro, res.graph, res.rounds)
   }
 }

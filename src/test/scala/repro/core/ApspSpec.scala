@@ -9,7 +9,7 @@ class ApspSpec extends AnyFunSuite {
     val g = WGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)))
     val d = SymMatrix.zeros(4)
     d.update(0, 1, 1.0); d.update(1, 2, 2.0); d.update(2, 3, 3.0)
-    val dist = Apsp.dijkstra(g, d, 0)
+    val dist = Apsp.dijkstra(g, Apsp.edgeWeights(g, d), 0)
     assert(dist.toSeq == Seq(0.0, 1.0, 3.0, 6.0))
   }
 
@@ -17,14 +17,14 @@ class ApspSpec extends AnyFunSuite {
     val g = WGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 2)))
     val d = SymMatrix.zeros(3)
     d.update(0, 1, 1.0); d.update(1, 2, 1.0); d.update(0, 2, 5.0)
-    assert(Apsp.dijkstra(g, d, 0)(2) == 2.0)
+    assert(Apsp.dijkstra(g, Apsp.edgeWeights(g, d), 0)(2) == 2.0)
   }
 
   test("unreachable vertices get +inf") {
     val g = WGraph.fromEdges(4, Seq((0, 1), (2, 3)))
     val d = SymMatrix.zeros(4)
     d.update(0, 1, 1.0); d.update(2, 3, 1.0)
-    val dist = Apsp.dijkstra(g, d, 0)
+    val dist = Apsp.dijkstra(g, Apsp.edgeWeights(g, d), 0)
     assert(dist(2).isPosInfinity && dist(3).isPosInfinity)
   }
 

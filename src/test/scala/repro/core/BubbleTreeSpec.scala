@@ -149,20 +149,19 @@ class BubbleTreeSpec extends AnyFunSuite {
     val res = Par.withThreads(2)(par => Tmfg.build(s, 3, par))
     val wdeg = res.graph.weightedDegrees(s)
     val dirs = Par.withThreads(2)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
-    val conv = dirs.convergingBubbles
+    val conv = Par.withThreads(2)(par => Dbht.bubblesFromTmfg(res, s, par)).convergingBubbles
     assert(conv.nonEmpty, "a finite directed tree must have a sink")
     for (b <- conv) assert(dirs.outNeighbors(b).isEmpty)
     // total out-degree == number of edges
-    val total = (0 until res.tree.numBubbles).map(dirs.outDegree).sum
+    val total = (0 until res.tree.numBubbles).map(dirs.outNeighbors(_).size).sum
     assert(total == res.tree.numBubbles - 1)
   }
 
   test("single-bubble tree has no directions and is its own converging bubble") {
     val s = TestUtils.randomSim(4, 3)
     val res = Par.withThreads(1)(par => Tmfg.build(s, 1, par))
-    val wdeg = res.graph.weightedDegrees(s)
-    val dirs = Par.withThreads(1)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
-    assert(dirs.convergingBubbles.toSeq == Seq(0))
+    val bub = Par.withThreads(1)(par => Dbht.bubblesFromTmfg(res, s, par))
+    assert(bub.convergingBubbles.toSeq == Seq(0))
   }
 
   test("addBubble rejects non-4-cliques") {

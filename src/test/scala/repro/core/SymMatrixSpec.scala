@@ -34,6 +34,10 @@ class SymMatrixSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SymMatrix.wrap(3, new Array[Double](8)))
   }
 
+  test("zeros rejects n whose n*n entries overflow an array") {
+    intercept[IllegalArgumentException](SymMatrix.zeros(46341))
+  }
+
   test("copy is independent of the original") {
     val m = TestUtils.randomSim(5, 1)
     val c = m.copy()

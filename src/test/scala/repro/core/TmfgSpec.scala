@@ -136,6 +136,17 @@ class TmfgSpec extends AnyFunSuite {
     }
   }
 
+  test("a NaN or -Inf row throws instead of spinning") {
+    val bad = 17 // row sums are all non-finite, so the seed is 0..3
+    for (value <- Seq(Double.NaN, Double.NegativeInfinity); prefix <- Seq(1, 5)) {
+      val s = TestUtils.randomSim(40, 6)
+      for (j <- 0 until 40) s.update(bad, j, value)
+      val e = intercept[IllegalStateException](Par.withThreads(2)(par => Tmfg.build(s, prefix, par)))
+      assert(e.getMessage.contains("1 remaining") && e.getMessage.contains(s"vertex $bad"),
+        s"value=$value prefix=$prefix: ${e.getMessage}")
+    }
+  }
+
   test("graph is connected") {
     val res = build(45, 9)
     assert(res.graph.isConnectedExcluding(Set.empty))
