@@ -1,5 +1,6 @@
 package repro
 
+import org.scalatest.Assertions.fail
 import repro.core._
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -8,6 +9,38 @@ import scala.util.Random
   * test suites. Everything here favors obviousness over speed.
   */
 object TestUtils {
+
+  /** Asserts that `a` and `b` hold the same doubles bit for bit, so -0.0
+    * differs from 0.0 and a NaN equals the same NaN. A failure names
+    * `what`, the first differing index and both values with their raw bits.
+    */
+  def assertBitsEqual(a: Array[Double], b: Array[Double], what: String): Unit = {
+    if (a.length != b.length) fail(s"$what: lengths differ, ${a.length} vs ${b.length}")
+    var i = 0
+    while (i < a.length) {
+      val x = java.lang.Double.doubleToRawLongBits(a(i))
+      val y = java.lang.Double.doubleToRawLongBits(b(i))
+      if (x != y) fail(f"$what: first mismatch at index $i: ${a(i)} (0x$x%016x) vs ${b(i)} (0x$y%016x)")
+      i += 1
+    }
+  }
+
+  /** Inputs that break the series contract at row 17 of 40 series of
+    * length 6: (what is wrong, the rows, the column of the bad value if
+    * a value is at fault).
+    */
+  def contractBreaches: Seq[(String, Array[Array[Double]], Option[Int])] = {
+    def rows(): Array[Array[Double]] = Array.tabulate(40, 6)((i, k) => math.sin(i * 7.0 + k))
+    def withBad(x: Double) = { val r = rows(); r(17)(3) = x; r }
+    def withRow(row: Array[Double]) = { val r = rows(); r(17) = row; r }
+    Seq(
+      ("NaN", withBad(Double.NaN), Some(3)),
+      ("+Inf", withBad(Double.PositiveInfinity), Some(3)),
+      ("-Inf", withBad(Double.NegativeInfinity), Some(3)),
+      ("ragged row", withRow(Array.fill(5)(1.0)), None),
+      ("empty row", withRow(Array.emptyDoubleArray), None),
+    )
+  }
 
   /** Random symmetric matrix with entries in (-1, 1), unit diagonal —
     * shaped like a correlation matrix. Continuous entries make gain /

@@ -11,7 +11,7 @@ class SparkApspSpec extends SparkSpec {
     val g = Par.withThreads(4)(par => Tmfg.build(s, 4, par)).graph
     val kernel = Par.withThreads(4)(par => Apsp.allPairs(g, d, par))
     val dist = SparkApsp.allPairs(spark, g, d)
-    assert(dist.data.sameElements(kernel.data))
+    TestUtils.assertBitsEqual(dist.data, kernel.data, "APSP rows")
   }
 
   test("RDD APSP is symmetric with zero diagonal") {

@@ -1,6 +1,6 @@
 package repro.spark
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestUtils}
 import repro.core.{Correlation, Par}
 import repro.data.TimeSeriesGen
 import scala.util.Random
@@ -21,6 +21,14 @@ class SparkCorrelationSpec extends SparkSpec {
     val sparkM  = SparkCorrelation.pearson(spark, ds.data)
     val kernelM = Par.withThreads(4)(par => Correlation.pearson(ds.data, par))
     assert(sparkM.data.zip(kernelM.data).forall { case (a, b) => math.abs(a - b) < 1e-9 })
+  }
+
+  test("spark pearson rejects non-finite values, ragged rows and empty rows by row and column") {
+    for ((what, rows, column) <- TestUtils.contractBreaches) {
+      val e = intercept[IllegalArgumentException](SparkCorrelation.pearson(spark, rows))
+      assert(e.getMessage.contains("row 17"), s"$what: ${e.getMessage}")
+      column.foreach(c => assert(e.getMessage.contains(s"column $c"), s"$what: ${e.getMessage}"))
+    }
   }
 
   test("correlation values agree with DuckDB's corr() aggregate (oracle)") {

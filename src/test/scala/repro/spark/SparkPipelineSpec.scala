@@ -1,6 +1,6 @@
 package repro.spark
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestUtils}
 import repro.core._
 import repro.data.TimeSeriesGen
 
@@ -26,7 +26,7 @@ class SparkPipelineSpec extends SparkSpec {
       assert(dist.graph.edges == graph.edges, s"prefix=$prefix")
       assert(dist.dendrogram.left.sameElements(den.left), s"prefix=$prefix")
       assert(dist.dendrogram.right.sameElements(den.right), s"prefix=$prefix")
-      assert(dist.dendrogram.height.sameElements(den.height), s"prefix=$prefix")
+      TestUtils.assertBitsEqual(dist.dendrogram.height, den.height, s"heights, prefix=$prefix")
       // the kernel correlation differs from the Gramian one only in the
       // last bits, which leaves the clusters unchanged
       val kernelLabels = Par.withThreads(4)(par => kernel(Correlation.pearson(ds.data, par), prefix, par))._2.cut(3)
@@ -47,7 +47,7 @@ class SparkPipelineSpec extends SparkSpec {
       val sparkDen  = SparkPipeline.dendrogram(spark, s.n, asg, apsp)
       assert(kernelDen.left.sameElements(sparkDen.left))
       assert(kernelDen.right.sameElements(sparkDen.right))
-      assert(kernelDen.height.sameElements(sparkDen.height))
+      TestUtils.assertBitsEqual(kernelDen.height, sparkDen.height, "heights")
     }
   }
 
