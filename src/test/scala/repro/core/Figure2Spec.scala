@@ -57,7 +57,7 @@ class Figure2Spec extends AnyFunSuite {
     // all three edges directed into b2: child b1 -> parent b2 (towardChild
     // false), child b4 -> parent b2 (false), parent b3 -> child b2 (true)
     if (dirs.towardChild(B1) || dirs.towardChild(B4) || !dirs.towardChild(B2)) return false
-    val bub = Dbht.bubblesFromTmfg(TmfgResult(g, tree, 3, Array(0, 1, 2, 4, 3, 5, 6)), s, par)
+    val bub = Dbht.bubblesFromTmfg(TmfgResult(g, tree, 3, Array(0, 1, 2, 4, 3, 5, 6), 0, 0, 0), s, par)
     if (!bub.convergingBubbles.sameElements(Array(B2))) return false
     val d = Correlation.dissimilarity(s)
     val apsp = Apsp.allPairs(g, d, par)
@@ -88,7 +88,7 @@ class Figure2Spec extends AnyFunSuite {
       val s = found
       val d = Correlation.dissimilarity(s)
       val apsp = Apsp.allPairs(g, d, par)
-      val bub = Dbht.bubblesFromTmfg(TmfgResult(g, tree, 3, Array(0, 1, 2, 4, 3, 5, 6)), s, par)
+      val bub = Dbht.bubblesFromTmfg(TmfgResult(g, tree, 3, Array(0, 1, 2, 4, 3, 5, 6), 0, 0, 0), s, par)
       val asg = Dbht.assign(bub, g, s, apsp, par)
       // single group (the one converging bubble b2)
       assert(asg.group.distinct.toSeq == Seq(B2))

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtils
 import repro.pmfg.Planarity
+import scala.collection.mutable.ArrayBuffer
 
 class TmfgSpec extends AnyFunSuite {
 
@@ -150,5 +151,257 @@ class TmfgSpec extends AnyFunSuite {
   test("graph is connected") {
     val res = build(45, 9)
     assert(res.graph.isConnectedExcluding(Set.empty))
+  }
+
+  // ---------------------------------------------------------------------
+  // Equivalence with the implementation the GAINS heap replaced.
+
+  private def isNegZero(x: Double): Boolean = x == 0.0 && 1.0 / x < 0
+
+  /** Inputs for the equivalence test, none with a -0.0 off the diagonal
+    * (so no -0.0 gain, where the reference's prefix > 1 order differs).
+    */
+  private def equivalenceInputs(n: Int): Seq[(String, SymMatrix)] = {
+    val rng = new scala.util.Random(n)
+    def series(rows: Int) = Array.fill(rows, 12)(rng.nextGaussian())
+    def pearson(rows: Array[Array[Double]]) = Par.withThreads(1)(Correlation.pearson(rows, _))
+    val quantised = TestUtils.randomSim(n, n + 1)
+    for (i <- 0 until n; j <- i + 1 until n) {
+      val x = quantised(i, j)
+      quantised.update(i, j, if (x < -1.0 / 3) -0.5 else if (x < 1.0 / 3) 0.0 else 0.5)
+    }
+    val negative = TestUtils.randomSim(n, n + 2)
+    for (i <- 0 until n; j <- i + 1 until n) negative.update(i, j, -0.01 - 0.99 * math.abs(negative(i, j)))
+    val base = series((n + 1) / 2)
+    val withConstant = series(n)
+    withConstant(n / 2) = Array.fill(12)(3.0)
+    Seq(
+      "randomSim" -> TestUtils.randomSim(n, n + 3),
+      "quantised to 3 values" -> quantised,
+      "duplicate rows" -> pearson(Array.tabulate(n)(i => base(i / 2))),
+      "a constant row" -> pearson(withConstant),
+      "all-negative off-diagonal" -> negative,
+    )
+  }
+
+  test("build equals the previous implementation on ties, duplicates, constant rows and negative S") {
+    for (n <- Seq(4, 5, 6, 37, 200); (name, s) <- equivalenceInputs(n)) {
+      assert(!s.data.exists(isNegZero), s"$name n=$n has a -0.0")
+      for (prefix <- Seq(1, 2, 5, 50, n, n + 3).distinct) {
+        val want = referenceBuild(s, prefix)
+        for (threads <- Seq(1, 4)) {
+          val got = Par.withThreads(threads)(Tmfg.build(s, prefix, _))
+          val what = s"$name n=$n prefix=$prefix threads=$threads"
+          assert(got.insertionOrder.toSeq == want.insertionOrder.toSeq, what)
+          assert(got.graph.edges == want.graph.edges, what)
+          assert(got.rounds == want.rounds, what)
+          assert(got.tree.numBubbles == want.tree.numBubbles, what)
+          assert(got.tree.root == want.tree.root, what)
+          for (b <- 0 until got.tree.numBubbles) {
+            assert(got.tree.parent(b) == want.tree.parent(b), s"$what bubble $b")
+            assert(Option(got.tree.sepTri(b)).map(_.toSeq) == Option(want.tree.sepTri(b)).map(_.toSeq),
+              s"$what bubble $b")
+          }
+        }
+      }
+    }
+  }
+
+  test("-0.0 and +0.0 gains tie: the lower face id wins at every prefix") {
+    // seed 0..3 (row sums 2.5 each); vertex 4 has gain -0.0 on face 0
+    // (0,1,2) and +0.0 on faces 1..3, so the tie goes to face 0
+    val s = SymMatrix.zeros(5)
+    for (i <- 0 until 5) s.update(i, i, 1.0)
+    for (i <- 0 until 4; j <- i + 1 until 4) s.update(i, j, 0.5)
+    for (i <- 0 until 3) s.update(i, 4, -0.0)
+    s.update(3, 4, 0.0)
+    for (prefix <- Seq(1, 2, 5); threads <- Seq(1, 4)) {
+      val res = Par.withThreads(threads)(Tmfg.build(s, prefix, _))
+      // face 0 is the outer face, so the new bubble 1 becomes the root
+      assert(res.tree.root == 1 && res.tree.sepTri(0).toSeq == Seq(0, 1, 2), s"prefix=$prefix threads=$threads")
+      assert(res.conflicts == (if (prefix == 1) 0 else 3))
+    }
+    // the reference's prefix > 1 sort put face 1 (+0.0) first
+    assert(referenceBuild(s, 2).tree.sepTri(1).toSeq == Seq(0, 1, 3))
+    assert(referenceBuild(s, 1).tree.sepTri(0).toSeq == Seq(0, 1, 2))
+  }
+
+  test("scan and conflict counters are independent of thread count; prefix 1 has no conflicts") {
+    val s = TestUtils.randomSim(300, 12)
+    for (prefix <- Seq(1, 4, 32)) {
+      val a = Par.withThreads(1)(Tmfg.build(s, prefix, _))
+      val b = Par.withThreads(8)(Tmfg.build(s, prefix, _))
+      assert((a.fullScans, a.scanCells, a.conflicts) == (b.fullScans, b.scanCells, b.conflicts),
+        s"prefix=$prefix")
+      // every face but those of the last round gets a full scan
+      assert(a.fullScans >= 4 + 3L * (300 - 4 - prefix) && a.scanCells > a.fullScans, s"prefix=$prefix")
+      if (prefix == 1) assert(a.conflicts == 0)
+      else assert(a.conflicts > 0, s"prefix=$prefix")
+    }
+  }
+
+  /** The TMFG build before the GAINS heap: a full reduction (prefix 1) or
+    * a full sort (prefix > 1) over all alive faces per round, and a
+    * swap-removal vertex list. Kept as it was but on one thread: the
+    * prefix-1 maximum is a fold and the rescans run in a loop. Its
+    * prefix > 1 sort ranks a +0.0 gain above a -0.0 gain, where `Tmfg`
+    * ties them.
+    */
+  private def referenceBuild(s: SymMatrix, prefix: Int): TmfgResult = {
+    val n = s.n
+    val rowSums = Array.tabulate(n)(i => s.rowSum(i))
+    val seed = (0 until n).sortBy(i => (-rowSums(i), i)).take(4).toArray
+    val inserted = new Array[Boolean](n)
+    seed.foreach(v => inserted(v) = true)
+
+    val edges = new ArrayBuffer[(Int, Int)](3 * n)
+    for (i <- 0 until 4; j <- i + 1 until 4) edges += ((seed(i), seed(j)))
+
+    val vlist = (0 until n).filterNot(inserted).toArray
+    val vpos  = Array.fill(n)(-1)
+    for (i <- vlist.indices) vpos(vlist(i)) = i
+    var vcount = vlist.length
+
+    def removeVertex(v: Int): Unit = {
+      val p = vpos(v)
+      val last = vlist(vcount - 1)
+      vlist(p) = last; vpos(last) = p
+      vlist(vcount - 1) = v; vpos(v) = -1
+      vcount -= 1
+    }
+
+    val faceVerts  = new ArrayBuffer[Array[Int]]()
+    val faceBubble = new ArrayBuffer[Int]()
+    val faceAlive  = new ArrayBuffer[Boolean]()
+    val bestV      = new ArrayBuffer[Int]()
+    val bestGain   = new ArrayBuffer[Double]()
+    val facesOfBest = Array.fill(n)(new ArrayBuffer[Int](4))
+
+    val tree = new BubbleTree(n)
+    val b0 = tree.addBubble(seed.clone())
+    tree.root = b0
+
+    def addFace(tri: Array[Int], bubble: Int): Int = {
+      val id = faceVerts.length
+      faceVerts += tri
+      faceBubble += bubble
+      faceAlive += true
+      bestV += -1
+      bestGain += Double.NegativeInfinity
+      id
+    }
+
+    def rescan(f: Int): Unit = {
+      val tri = faceVerts(f)
+      val r0 = tri(0) * n; val r1 = tri(1) * n; val r2 = tri(2) * n
+      var bv = -1
+      var bg = Double.NegativeInfinity
+      var i = 0
+      while (i < vcount) {
+        val v = vlist(i)
+        val g = s.data(r0 + v) + s.data(r1 + v) + s.data(r2 + v)
+        if (g > bg || (g == bg && v < bv)) { bg = g; bv = v }
+        i += 1
+      }
+      bestV(f) = bv
+      bestGain(f) = bg
+    }
+
+    val f0 = addFace(Array(seed(0), seed(1), seed(2)), b0)
+    addFace(Array(seed(0), seed(1), seed(3)), b0)
+    addFace(Array(seed(0), seed(2), seed(3)), b0)
+    addFace(Array(seed(1), seed(2), seed(3)), b0)
+    var outerFaceId = f0
+
+    val aliveList = ArrayBuffer(0, 1, 2, 3)
+    for (f <- aliveList) { rescan(f); if (bestV(f) >= 0) facesOfBest(bestV(f)) += f }
+
+    val insertionOrder = new ArrayBuffer[Int](n)
+    insertionOrder ++= seed
+
+    var rounds = 0
+    while (vcount > 0) {
+      rounds += 1
+
+      val selected: IndexedSeq[Int] =
+        if (prefix == 1) {
+          val best = aliveList.foldLeft((-1, Double.NegativeInfinity)) { (a, f) =>
+            val b = (f, bestGain(f))
+            if (b._2 > a._2 || (b._2 == a._2 && b._1 != -1 && (a._1 == -1 || b._1 < a._1))) b else a
+          }
+          IndexedSeq(best._1)
+        } else {
+          val fs = aliveList.toArray
+          val sorted = fs.sortBy(f => (-bestGain(f), f))
+          val chosenFaceOf = new java.util.HashMap[Int, Int]()
+          val picks = new ArrayBuffer[Int](prefix)
+          var i = 0
+          while (i < sorted.length && picks.length < prefix) {
+            val f = sorted(i)
+            val v = bestV(f)
+            if (v >= 0 && !chosenFaceOf.containsKey(v)) {
+              chosenFaceOf.put(v, f)
+              picks += f
+            }
+            i += 1
+          }
+          picks.toIndexedSeq
+        }
+
+      val newFaces = new ArrayBuffer[Int](3 * selected.length)
+      val insertedNow = new ArrayBuffer[Int](selected.length)
+      for (f <- selected; if f >= 0 && faceAlive(f)) {
+        val v = bestV(f)
+        if (v >= 0 && vpos(v) >= 0) {
+          val tri = faceVerts(f)
+          removeVertex(v)
+          inserted(v) = true
+          insertedNow += v
+          insertionOrder += v
+          edges += ((v, tri(0))); edges += ((v, tri(1))); edges += ((v, tri(2)))
+
+          val bStar = tree.addBubble(Array(tri(0), tri(1), tri(2), v))
+          val b = faceBubble(f)
+          val wasOuter = f == outerFaceId
+          if (wasOuter) {
+            tree.link(bStar, tree.root, tri.clone())
+            tree.root = bStar
+          } else {
+            tree.link(b, bStar, tri.clone())
+          }
+
+          faceAlive(f) = false
+          val nf1 = addFace(Array(v, tri(0), tri(1)), bStar)
+          val nf2 = addFace(Array(v, tri(1), tri(2)), bStar)
+          val nf3 = addFace(Array(v, tri(0), tri(2)), bStar)
+          if (wasOuter) outerFaceId = nf1
+          newFaces += nf1; newFaces += nf2; newFaces += nf3
+        }
+      }
+      if (insertedNow.isEmpty) throw new IllegalStateException(s"reference round $rounds inserted no vertex")
+
+      var w = 0
+      var i = 0
+      while (i < aliveList.length) {
+        val f = aliveList(i)
+        if (faceAlive(f)) { aliveList(w) = f; w += 1 }
+        i += 1
+      }
+      aliveList.dropRightInPlace(aliveList.length - w)
+      aliveList ++= newFaces
+
+      val dirty = new ArrayBuffer[Int](newFaces.length + 8)
+      dirty ++= newFaces
+      for (v <- insertedNow) {
+        for (f <- facesOfBest(v)) if (faceAlive(f) && bestV(f) == v) dirty += f
+        facesOfBest(v).clear()
+      }
+      if (vcount > 0) {
+        dirty.foreach(rescan)
+        for (f <- dirty; if bestV(f) >= 0) facesOfBest(bestV(f)) += f
+      }
+    }
+
+    TmfgResult(WGraph.fromEdges(n, edges), tree, rounds, insertionOrder.toArray, 0, 0, 0)
   }
 }
